@@ -44,6 +44,9 @@ DEEP_GRAPH_SEED = 20230902
 #: moved by 30% between seeds on ``batch-wide`` (its p99 is set by a dozen
 #: hub queries), so the panel is fixed like the graph.
 PANEL_SEED = 20230903
+#: Distinct queries in the ``serve-mixed`` pool: about three times the
+#: server's 1024-entry cache, so the Zipf tail keeps missing it.
+POOL_SIZE = 3000
 
 
 def fresh_deltas(base_edges: List[Edge], rng: random.Random, count: int) -> List[Dict[str, List[Edge]]]:
@@ -143,7 +146,7 @@ class ServeInputs:
     deltas: List[Dict[str, List[Edge]]]  # POST /mutate bodies, order-independent
 
 
-def serve_inputs(seed: int, num_deltas: int, pool_size: int = 3000) -> ServeInputs:
+def serve_inputs(seed: int, num_deltas: int) -> ServeInputs:
     """Inputs of ``serve-mixed``: a transaction snapshot, a query pool, deltas.
 
     No edge appears in two deltas, so each delta changes the graph whatever
@@ -159,13 +162,13 @@ def serve_inputs(seed: int, num_deltas: int, pool_size: int = 3000) -> ServeInpu
     )
     graph = network.snapshot()
     base_edges = sorted(graph.edges())
-    per_k = pool_size // 3 + 1
+    per_k = POOL_SIZE // 3 + 1
     pool: List[QueryTriple] = []
     for k in (5, 6, 7):
         pool += random_reachable_queries(graph, k, per_k, seed=rng.randrange(1 << 30)).as_batch()
     pool = _unique(pool)
     rng.shuffle(pool)
-    pool = pool[:pool_size]
+    pool = pool[:POOL_SIZE]
     # Zipf(1) popularity over a pool three times the server's 1024-entry cache.
     weights = [1.0 / (rank + 1) for rank in range(len(pool))]
     cumulative, total = [], 0.0

@@ -12,6 +12,11 @@ The patched names are the ones the program calls through: functions a
 module imported by name are patched in the importing module's namespace
 (``repro.core.eve.compute_distance_index``, ``repro.service.engine.plan_batch``
 and so on), methods on their class.
+
+Only layer entry points are wrapped, never a frame that encloses every
+other one (``SPGEngine.run_batch``, the executor's task wrapper, or
+``EVE.query``, which is only counted).  Time no layer claims therefore
+stays unattributed, so ``trace.coverage`` can fall short of one.
 """
 
 from __future__ import annotations
@@ -27,14 +32,14 @@ __all__ = ["LayerTracer", "BATCH_ENTRY_POINTS", "SERVER_ENTRY_POINTS", "PHASE_LA
 PHASE_LAYERS = ("core.distances", "core.essential", "core.labeling", "core.verification")
 
 #: Layers whose calls are only counted: ``SpaceMeter.allocate`` runs some
-#: 200 times per query, and timing each call would double the trace overhead.
-#: Its time stays in the self time of the phase that called it.
-COUNT_ONLY_LAYERS = ("core.space",)
+#: 200 times per query, and timing each call would double the trace overhead;
+#: its time stays in the self time of the phase that called it.
+#: ``EVE.query`` encloses all five phases; its count is the number of
+#: queries the core computed.
+COUNT_ONLY_LAYERS = ("core.space", "core.eve")
 
 #: ``(module, attribute path, layer)`` for every wrapped entry point.
 BATCH_ENTRY_POINTS: Tuple[Tuple[str, str, str], ...] = (
-    ("repro.service.engine", "SPGEngine.run_batch", "service.engine"),
-    ("repro.service.executor", "Call.__call__", "service.engine"),
     ("repro.service.engine", "SPGEngine.apply_delta", "service.engine.apply_delta"),
     ("repro.service.engine", "plan_batch", "service.planner"),
     ("repro.service.executor", "SerialBackend.run", "service.executor"),

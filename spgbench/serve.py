@@ -52,7 +52,7 @@ SEGMENT_SECONDS = 0.25
 #: Unmeasured load before the window: fills the cache, warms the pool.
 WARMUP_SECONDS = 2.0
 #: Server spawns per run; ``setup_s`` is their median.
-SETUP_BUILDS = 5
+SETUP_BUILDS = 15
 #: Pool queries audited against the final graph after the window.
 AUDIT_SAMPLE = 30
 STARTUP_TIMEOUT = 60.0
@@ -366,8 +366,13 @@ async def _serve(root: Path, seed: int, seconds: float, trace: bool, workdir: Pa
             load = _Load(server, inputs, seed, tally, corrupt if not traced else 0)
             await load.segment(WARMUP_SECONDS)
             if traced:
+                window_cpu = proc_cpu_seconds(server.pid)
                 server.process.send_signal(signal.SIGUSR1)  # layer window starts
             await load.window(seconds / len(windows), speed)
+            if traced:
+                server.process.send_signal(signal.SIGUSR2)  # and ends
+                window_cpu = proc_cpu_seconds(server.pid) - window_cpu
+                layers = await _read_layers(layers_out)
             status, metrics_text = await _get(server.port, "/metrics")
             tally.check(status == 200, f"/metrics answered {status}")
             scraped = _scrape(metrics_text.decode())
@@ -379,8 +384,6 @@ async def _serve(root: Path, seed: int, seconds: float, trace: bool, workdir: Pa
             code = server.stop()
         tally.check(code == 0, f"server exited with {code}")
         observed[traced] = (load, scraped, rss)
-        if traced:
-            layers = json.loads(layers_out.read_text())
 
     load, scraped, rss = observed[False]
     cpu_ms_raw = 1000.0 * sum(cpu for cpu, _, _, _ in load.segments) / load.answered_in_window()
@@ -426,7 +429,7 @@ async def _serve(root: Path, seed: int, seconds: float, trace: bool, workdir: Pa
         return WorkloadResult(metrics=metrics, tally=tally, detail=detail)
 
     traced_load, traced_scraped, _ = observed[True]
-    metrics = _serve_layer_metrics(layers, traced_load, traced_scraped, speed, load)
+    metrics = _serve_layer_metrics(layers, window_cpu, traced_load, traced_scraped, speed, load)
     detail.update(self_seconds=layers["window"]["self_seconds"], calls=layers["window"]["calls"])
     return WorkloadResult(metrics=metrics, tally=tally, detail=detail)
 
@@ -441,6 +444,16 @@ async def _timed_spawn(root, edge_file, speed, traced, layers_out):
         raise
     after = speed.probe()
     return server, raw, (before + after) / 2.0
+
+
+async def _read_layers(path: Path) -> Dict[str, object]:
+    """The traced server's layer totals, written when it handles ``SIGUSR2``."""
+    deadline = time.perf_counter() + STARTUP_TIMEOUT
+    while not path.exists():
+        if time.perf_counter() > deadline:
+            raise RuntimeError("the traced server never wrote its layer totals")
+        await asyncio.sleep(0.01)
+    return json.loads(path.read_text())
 
 
 async def _audit(load: _Load, inputs, seed: int, tally: Tally) -> None:
@@ -460,7 +473,8 @@ async def _audit(load: _Load, inputs, seed: int, tally: Tally) -> None:
         )
 
 
-def _serve_layer_metrics(layers, load: _Load, scraped, speed: SpeedReference, untraced: _Load):
+def _serve_layer_metrics(layers, server_cpu: float, load: _Load, scraped, speed: SpeedReference, untraced: _Load):
+    """Per-layer metrics of the traced window; ``server_cpu`` spans the same window."""
     window = layers["window"]
     seconds = window["self_seconds"]
     calls = window["calls"]
@@ -468,7 +482,6 @@ def _serve_layer_metrics(layers, load: _Load, scraped, speed: SpeedReference, un
     answered = load.answered_in_window()
     requests = answered + len(load.mutate_ms)
     computed = calls.get("core.eve", 0)
-    server_cpu = sum(cpu for cpu, _, _, _ in load.segments)
     phase_seconds = sum(seconds.get(layer, 0.0) for layer in PHASE_LAYERS)
     attributed = sum(seconds.values())
 
@@ -502,7 +515,8 @@ def _serve_layer_metrics(layers, load: _Load, scraped, speed: SpeedReference, un
         "core.verification.ms_per_query": (ratio(seconds.get("core.verification", 0.0) * 1000.0, computed), "ms"),
         "core.verification.expansions_per_query": (ratio(counters.get("verification.expansions", 0.0), computed), "count"),
         "core.space.allocate_calls_per_query": (ratio(calls.get("core.space", 0), computed), "count"),
-        "service.engine.overhead_share": (ratio(attributed - phase_seconds, attributed), "ratio"),
+        # No run_batch wall time to split here: the server's CPU outside the phases.
+        "service.engine.overhead_share": (ratio(server_cpu - phase_seconds, server_cpu), "ratio"),
         "service.planner.shared_backward_ratio": (
             ratio(scraped.get("repro_shared_backward_reuses_total", 0.0), misses),
             "ratio",

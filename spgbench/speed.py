@@ -24,8 +24,12 @@ __all__ = ["SpeedReference"]
 
 T = TypeVar("T")
 
-#: Seed of the reference graph; fixed so every run probes the same work.
+#: Seed and size of the reference graph; fixed so every run probes the same
+#: work.  Changing any of them would rescale every recorded figure.
 _REFERENCE_SEED = 20230901
+_REFERENCE_VERTICES = 3000
+_REFERENCE_DEGREE = 4
+_REFERENCE_SOURCES = 2
 
 
 class SpeedReference:
@@ -36,13 +40,13 @@ class SpeedReference:
     #: re-tuning; changing it would rescale every recorded figure.
     NOMINAL_SECONDS = 0.0015
 
-    def __init__(self, num_vertices: int = 3000, degree: int = 4, sources: int = 2) -> None:
+    def __init__(self) -> None:
         rng = random.Random(_REFERENCE_SEED)
         self._adjacency = [
-            [rng.randrange(num_vertices) for _ in range(degree)]
-            for _ in range(num_vertices)
+            [rng.randrange(_REFERENCE_VERTICES) for _ in range(_REFERENCE_DEGREE)]
+            for _ in range(_REFERENCE_VERTICES)
         ]
-        self._sources = [rng.randrange(num_vertices) for _ in range(sources)]
+        self._sources = [rng.randrange(_REFERENCE_VERTICES) for _ in range(_REFERENCE_SOURCES)]
         self._expected = None
         self._expected = self._search()
         for _ in range(3):  # warm the interpreter's caches before the first timed probe

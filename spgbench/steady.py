@@ -79,7 +79,7 @@ def main(argv=None) -> int:
         share = spread(series)
         bound = bounds.get(name)
         flag = ""
-        if name in bounds and name != "setup_s" and share > STEADY_SPREAD:
+        if name in bounds and share > STEADY_SPREAD:
             flag = "  <- spread above a tenth"
             flagged.append(name)
         bound_text = f"{bound:.2f}" if bound is not None else "-"

@@ -4,9 +4,10 @@ The traced ``serve-mixed`` run starts the server through this launcher
 instead of ``-m repro.service.http``; it takes the same arguments.  It
 wraps the entry points of :data:`layers.SERVER_ENTRY_POINTS` plus the
 coalescer hand-off, then runs the CLI's ``main``.  ``SIGUSR1`` marks the
-start of the measured window; when the server exits, the layer totals at
-that mark (``setup``) and over the window (``window``) are written as JSON
-to ``$SPGBENCH_LAYERS_OUT``.
+start of the measured window and ``SIGUSR2`` its end, before the benchmark
+scrapes ``/metrics`` and audits answers.  At the end mark the layer totals
+at the start mark (``setup``) and over the window (``window``) are written
+as JSON to ``$SPGBENCH_LAYERS_OUT``.
 """
 
 from __future__ import annotations
@@ -61,14 +62,18 @@ def main() -> int:
     tracer.install()
     _time_coalescer(tracer)
     marks = {}
+
+    def end_window(*_) -> None:
+        end = tracer.snapshot()
+        setup = marks.get("setup", end)
+        out = Path(os.environ["SPGBENCH_LAYERS_OUT"])
+        partial = out.with_name(out.name + ".partial")
+        partial.write_text(json.dumps({"setup": setup, "window": LayerTracer.difference(end, setup)}))
+        partial.replace(out)  # the benchmark waits for this name
+
     signal.signal(signal.SIGUSR1, lambda *_: marks.setdefault("setup", tracer.snapshot()))
-    code = serve(sys.argv[1:])
-    end = tracer.snapshot()
-    setup = marks.get("setup", end)
-    Path(os.environ["SPGBENCH_LAYERS_OUT"]).write_text(
-        json.dumps({"setup": setup, "window": LayerTracer.difference(end, setup)})
-    )
-    return code
+    signal.signal(signal.SIGUSR2, end_window)
+    return serve(sys.argv[1:])
 
 
 if __name__ == "__main__":
