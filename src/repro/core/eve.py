@@ -159,6 +159,10 @@ class EVE:
         automatically.  A scratch must not be shared by concurrent queries.
         The answer is identical with or without any of them.
 
+        A simple path has at most ``n - 1`` edges, so a larger ``k`` is
+        computed as ``n - 1`` (same answer, bounded cost) and reported as
+        asked.
+
         ``tracer`` optionally records one ``phase.<name>`` span per executed
         phase plus one ``query`` summary span.  Phases are already timed for
         :class:`~repro.core.result.PhaseStats`, so the tracer receives the
@@ -166,6 +170,7 @@ class EVE:
         is ``None`` every telemetry site is a single ``is not None`` check.
         """
         self._validate(source, target, k)
+        requested_k, k = k, min(k, self.graph.num_vertices - 1)
         config = self.config
         if essential_scratch is None:
             essential_scratch = getattr(scratch, "essential", None)
@@ -204,14 +209,14 @@ class EVE:
                     time.perf_counter() - query_started,
                     source=source,
                     target=target,
-                    k=k,
+                    k=requested_k,
                     empty=True,
                     exact=True,
                 )
             return SimplePathGraphResult(
                 source=source,
                 target=target,
-                k=k,
+                k=requested_k,
                 edges=set(),
                 upper_bound_edges=set(),
                 labels={},
@@ -298,7 +303,7 @@ class EVE:
                 time.perf_counter() - query_started,
                 source=source,
                 target=target,
-                k=k,
+                k=requested_k,
                 empty=not edges,
                 exact=exact,
                 answer_edges=len(edges),
@@ -309,7 +314,7 @@ class EVE:
         return SimplePathGraphResult(
             source=source,
             target=target,
-            k=k,
+            k=requested_k,
             edges=edges,
             upper_bound_edges=upper.edges,
             labels=upper.labels,

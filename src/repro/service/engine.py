@@ -801,6 +801,13 @@ class SPGEngine:
         """Name of the backend batches execute on."""
         return self._backend_name
 
+    @property
+    def max_workers(self) -> int:
+        """The resolved pool width: the engine's size, else the CPU default."""
+        if self._max_workers is not None:
+            return self._max_workers
+        return default_worker_count()
+
     def stats_snapshot(self) -> Dict[str, object]:
         """Engine counters plus cache counters, as one JSON-friendly dict."""
         snapshot = self._stats.snapshot()
@@ -917,12 +924,7 @@ class SPGEngine:
 
     def _is_default_width(self, max_workers: int) -> bool:
         """Whether an explicit width equals the engine's resolved default."""
-        configured = (
-            self._max_workers
-            if self._max_workers is not None
-            else default_worker_count()
-        )
-        return max_workers == configured
+        return max_workers == self.max_workers
 
     def _ensure_backend(self) -> ExecutorBackend:
         """Return the persistent backend, (re)building it when necessary.

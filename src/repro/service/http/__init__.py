@@ -7,7 +7,7 @@ Layers, bottom to top:
 * :mod:`~repro.service.http.admission` — bounded queue, per-tenant token
   buckets, graceful drain;
 * :mod:`~repro.service.http.coalescer` — folds single queries into
-  planner batches under a latency budget;
+  planner batches while every worker slot is busy;
 * :mod:`~repro.service.http.server` — :class:`HTTPFrontend`, the
   hand-rolled HTTP/1.1 server itself (``POST /query``, ``POST /batch``,
   ``GET /metrics``, ``GET /healthz``);

@@ -124,17 +124,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip the verification phase (upper bound only; exact for k <= 4)",
     )
     parser.add_argument(
-        "--coalesce-window",
-        type=float,
-        default=0.002,
-        metavar="SECONDS",
-        help="latency budget for folding single queries into one batch",
-    )
-    parser.add_argument(
         "--coalesce-max-batch",
         type=int,
         default=64,
-        help="pending queries that force an immediate coalescer flush",
+        help="largest batch the request coalescer hands the engine",
     )
     parser.add_argument(
         "--max-queue-depth",
@@ -222,7 +215,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         http_config = HTTPConfig(
             host=args.host,
             port=args.port,
-            coalesce_window=args.coalesce_window,
             coalesce_max_batch=args.coalesce_max_batch,
             max_queue_depth=args.max_queue_depth,
             tenant_rate=args.tenant_rate,

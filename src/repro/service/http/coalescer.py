@@ -1,16 +1,17 @@
-"""Fold single HTTP queries into planner batches under a latency budget.
+"""Fold single HTTP queries into planner batches when the engine is busy.
 
 Independent clients each send one query, but the engine's wins — shared
 ``(t, k)`` backward passes, in-batch deduplication, one executor round
-trip — only materialise on *batches*.  The :class:`QueryCoalescer` holds
-the first query of a window for at most ``window_seconds`` and answers
-everything that arrived in the meantime with a single
-:meth:`~repro.service.engine.SPGEngine.run_batch_async` call, so planner
-batching works across connections, not just within one request.
+trip — only materialise on *batches*.  The :class:`QueryCoalescer`
+batches naturally: it never waits on a timer.  While fewer batches are in
+flight than the engine has workers, a query leaves on the next
+event-loop tick (so arrivals of the same tick still share one batch).
+Once every worker slot is busy, queries queue up and leave together, as
+one :meth:`~repro.service.engine.SPGEngine.run_batch_async` call capped
+at ``max_batch``, the moment an in-flight batch finishes — the adaptive
+batching of Clipper (Crankshaw et al., NSDI 2017).  An idle server thus
+adds no latency, and batches grow only with load.
 
-The trade is explicit: up to one window of added latency buys batch
-throughput.  ``max_batch`` caps both the added latency under load (a full
-batch flushes immediately) and the batch size handed to the planner.
 Event-loop-confined like the admission layer; per-query error isolation
 is inherited from the engine (an errored query resolves its own future
 with an errored outcome, not an exception).
@@ -19,7 +20,7 @@ with an errored outcome, not an exception).
 from __future__ import annotations
 
 import asyncio
-from typing import List, Optional, Set, Tuple
+from typing import List, Set, Tuple
 
 from repro.service.engine import QueryOutcome, SPGEngine
 
@@ -31,39 +32,34 @@ _Pending = Tuple[Tuple[int, int, int], "asyncio.Future[QueryOutcome]"]
 
 
 class QueryCoalescer:
-    """Batch single queries arriving within one latency window.
+    """Batch single queries while the engine's worker slots are busy.
+
+    At most ``engine.max_workers`` batches run at once.  A submit that
+    finds a free slot flushes on the next event-loop tick; otherwise it
+    waits for the next batch to finish (successfully or not), which frees
+    a slot and takes up to ``max_batch`` pending queries with it.
 
     Parameters
     ----------
     engine:
-        The engine batches are run on (``run_batch_async``).
-    window_seconds:
-        Latency budget: how long the first query of a window may wait for
-        company.  ``0`` still coalesces arrivals of the same event-loop
-        tick.
+        The engine batches are run on (``run_batch_async``); its
+        ``max_workers`` is the number of batches allowed in flight.
     max_batch:
-        Pending size that triggers an immediate flush.
+        Largest batch handed to the planner; a longer queue leaves as
+        several batches.
     """
 
-    def __init__(
-        self,
-        engine: SPGEngine,
-        *,
-        window_seconds: float = 0.002,
-        max_batch: int = 64,
-    ) -> None:
-        if window_seconds < 0:
-            raise ValueError(f"window_seconds must be >= 0, got {window_seconds}")
+    def __init__(self, engine: SPGEngine, *, max_batch: int = 64) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self._engine = engine
-        self._window = window_seconds
+        self._slots = max(1, engine.max_workers)
         self._max_batch = max_batch
         self._pending: List[_Pending] = []
-        self._timer: Optional[asyncio.Task] = None
+        self._flush_scheduled = False
         self._inflight: Set[asyncio.Task] = set()
         self._closed = False
-        #: Flush/batch accounting for tests and the run-table harness.
+        #: Flush/batch accounting for tests, ``/metrics`` and the load rig.
         self.batches_flushed = 0
         self.queries_coalesced = 0
 
@@ -72,46 +68,33 @@ class QueryCoalescer:
         """Enqueue one normalised ``(s, t, k)`` query; await its outcome."""
         if self._closed:
             raise RuntimeError("coalescer is closed")
-        future: "asyncio.Future[QueryOutcome]" = (
-            asyncio.get_running_loop().create_future()
-        )
+        loop = asyncio.get_running_loop()
+        future: "asyncio.Future[QueryOutcome]" = loop.create_future()
         self._pending.append((query, future))
-        if len(self._pending) >= self._max_batch:
-            self._flush()
-        elif self._timer is None:
-            self._timer = asyncio.create_task(self._flush_after_window())
+        if len(self._inflight) < self._slots and not self._flush_scheduled:
+            self._flush_scheduled = True
+            loop.call_soon(self._flush_on_tick)
         return await future
 
     @property
     def pending(self) -> int:
-        """Queries waiting for the current window to flush."""
+        """Queries waiting for a free worker slot."""
         return len(self._pending)
 
     # ------------------------------------------------------------------
-    def _flush(self) -> None:
-        """Move the pending window into one engine batch task."""
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        batch, self._pending = self._pending, []
-        if not batch:
-            return
-        task = asyncio.create_task(self._run_batch(batch))
-        # Keep a strong reference: the loop only holds tasks weakly.
-        self._inflight.add(task)
-        task.add_done_callback(self._inflight.discard)
+    def _flush_on_tick(self) -> None:
+        self._flush_scheduled = False
+        self._flush()
 
-    async def _flush_after_window(self) -> None:
-        try:
-            await asyncio.sleep(self._window)
-        except asyncio.CancelledError:
-            return
-        self._timer = None
-        batch, self._pending = self._pending, []
-        if batch:
+    def _flush(self) -> None:
+        """Start one batch per free slot while queries are pending."""
+        while self._pending and len(self._inflight) < self._slots:
+            batch = self._pending[: self._max_batch]
+            del self._pending[: self._max_batch]
+            # The set keeps a strong reference (the loop holds tasks only
+            # weakly) and counts the busy slots.
             task = asyncio.create_task(self._run_batch(batch))
             self._inflight.add(task)
-            task.add_done_callback(self._inflight.discard)
 
     async def _run_batch(self, batch: List[_Pending]) -> None:
         queries = [query for query, _ in batch]
@@ -121,7 +104,13 @@ class QueryCoalescer:
             for _, future in batch:
                 if not future.done():
                     future.set_exception(exc)
+            if not isinstance(exc, Exception):
+                raise  # cancellation and exit still propagate
             return
+        finally:
+            # Free the slot and hand it to whatever queued meanwhile.
+            self._inflight.discard(asyncio.current_task())
+            self._flush()
         self.batches_flushed += 1
         self.queries_coalesced += len(batch)
         for (_, future), outcome in zip(batch, report.outcomes):
@@ -132,7 +121,7 @@ class QueryCoalescer:
 
     # ------------------------------------------------------------------
     async def aclose(self) -> None:
-        """Flush the pending window and wait for every in-flight batch."""
+        """Refuse new queries; answer every pending and in-flight one."""
         self._closed = True
         self._flush()
         while self._inflight:
@@ -140,6 +129,7 @@ class QueryCoalescer:
 
     def __repr__(self) -> str:
         return (
-            f"QueryCoalescer(window={self._window}s, max_batch={self._max_batch}, "
-            f"pending={len(self._pending)}, flushed={self.batches_flushed})"
+            f"QueryCoalescer(slots={self._slots}, max_batch={self._max_batch}, "
+            f"pending={len(self._pending)}, inflight={len(self._inflight)}, "
+            f"flushed={self.batches_flushed})"
         )

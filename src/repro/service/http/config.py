@@ -24,16 +24,14 @@ class HTTPConfig:
         Listen address.  ``port=0`` binds an ephemeral port (the bound
         address is readable from ``HTTPFrontend.address`` after start) —
         the load rig and the CI smoke test rely on this.
-    coalesce_window:
-        Latency budget in seconds for folding single ``POST /query``
-        requests into one planner batch.  The first query of a window
-        starts the timer; everything arriving before it fires is answered
-        by one ``run_batch_async`` call, so shared-target planning and
-        in-batch deduplication apply across independent HTTP clients.
-        ``0`` still coalesces same-event-loop-tick arrivals.
     coalesce_max_batch:
-        Queries that force an immediate flush before the window elapses,
-        bounding worst-case added latency *and* batch size under load.
+        Largest planner batch the request coalescer hands the engine.  The
+        coalescer keeps at most ``engine.max_workers`` batches in flight:
+        a single ``POST /query`` that finds a free worker slot leaves on
+        the next event-loop tick, and queries that arrive while every slot
+        is busy leave together, up to this many per batch, as soon as one
+        finishes.  Shared-target planning and in-batch deduplication then
+        apply across independent HTTP clients exactly when there is load.
     max_queue_depth:
         Bound on admitted-but-unfinished queries.  A request that would
         push the depth past this is shed with 429 instead of joining an
@@ -57,7 +55,6 @@ class HTTPConfig:
 
     host: str = "127.0.0.1"
     port: int = 8080
-    coalesce_window: float = 0.002
     coalesce_max_batch: int = 64
     max_queue_depth: int = 256
     tenant_rate: Optional[float] = None
@@ -70,8 +67,6 @@ class HTTPConfig:
     max_header_bytes: int = 64 * 1024
 
     def __post_init__(self) -> None:
-        if self.coalesce_window < 0:
-            raise ValueError(f"coalesce_window must be >= 0, got {self.coalesce_window}")
         if self.coalesce_max_batch < 1:
             raise ValueError(
                 f"coalesce_max_batch must be >= 1, got {self.coalesce_max_batch}"

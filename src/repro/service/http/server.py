@@ -22,7 +22,8 @@ dependency — requests are parsed straight off ``asyncio`` streams:
   503.
 * ``GET /metrics`` — Prometheus text-format 0.0.4 from
   :meth:`~repro.service.stats.EngineStats.to_prometheus` (admission
-  counters, delta/invalidation counters and queue-depth gauges included).
+  counters, delta/invalidation counters and queue-depth gauges included),
+  followed by the coalescer's batch and query counters.
 * ``GET /healthz`` — liveness plus drain state (503 while draining).
 
 Overload sheds with 429 (queue full or tenant quota) and shutdown drains
@@ -54,6 +55,7 @@ from repro.service.workload_io import (
     read_queries,
     translate_queries,
 )
+from repro.telemetry.prometheus import render_counter
 
 __all__ = ["HTTPError", "Request", "HTTPFrontend"]
 
@@ -231,9 +233,7 @@ class HTTPFrontend:
             tenant_burst=self._config.resolved_tenant_burst(),
         )
         self._coalescer = QueryCoalescer(
-            engine,
-            window_seconds=self._config.coalesce_window,
-            max_batch=self._config.coalesce_max_batch,
+            engine, max_batch=self._config.coalesce_max_batch
         )
         self._server: Optional[asyncio.AbstractServer] = None
         self._address: Optional[Tuple[str, int]] = None
@@ -373,11 +373,11 @@ class HTTPFrontend:
         if path == "/metrics":
             if request.method != "GET":
                 raise HTTPError(405, f"{path} only supports GET")
-            body = self._engine.stats.to_prometheus().encode("utf-8")
+            exposition = self._engine.stats.to_prometheus() + self._coalescer_exposition()
             _write_response(
                 writer,
                 200,
-                body,
+                exposition.encode("utf-8"),
                 content_type="text/plain; version=0.0.4; charset=utf-8",
                 keep_alive=keep_alive,
             )
@@ -395,6 +395,20 @@ class HTTPFrontend:
                 raise HTTPError(405, f"{path} only supports POST")
             return await self._handle_mutate(request, writer, keep_alive)
         raise HTTPError(404, f"unknown path {path!r}")
+
+    def _coalescer_exposition(self) -> str:
+        """The coalescer's batching counters, in the exposition format."""
+        coalescer = self._coalescer
+        lines = render_counter(
+            "repro_http_coalescer_batches_total",
+            "Batches the request coalescer handed the engine.",
+            coalescer.batches_flushed,
+        ) + render_counter(
+            "repro_http_coalescer_queries_total",
+            "Single queries answered through coalescer batches.",
+            coalescer.queries_coalesced,
+        )
+        return "\n".join(lines) + "\n"
 
     def _handle_healthz(self, writer: asyncio.StreamWriter, keep_alive: bool) -> int:
         if self._admission.draining:

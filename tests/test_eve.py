@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro import EVE, EVEConfig, build_spg, build_upper_bound
@@ -9,7 +11,7 @@ from repro.analysis.validate import brute_force_spg
 from repro.core.result import EdgeLabel
 from repro.exceptions import QueryError
 from repro.graph.digraph import DiGraph
-from repro.graph.generators import erdos_renyi, layered_dag, power_law_cluster
+from repro.graph.generators import erdos_renyi, layered_dag, path_graph, power_law_cluster
 
 
 class TestFigure1:
@@ -83,6 +85,17 @@ class TestCorrectness:
         graph = DiGraph(2, [(0, 1)])
         result = build_spg(graph, 0, 1, 1)
         assert result.edges == {(0, 1)}
+
+    def test_huge_k_costs_what_n_minus_1_costs(self):
+        # No simple path has more than n - 1 edges, so k = 10**9 must be
+        # answered like k = 29 on 30 vertices, not in time linear in k.
+        graph = path_graph(30)
+        expected = build_spg(graph, 0, 29, 29)
+        started = time.perf_counter()
+        result = build_spg(graph, 0, 29, 10**9)
+        assert time.perf_counter() - started < 1.0
+        assert result.edges == expected.edges == set(graph.edges())
+        assert result.k == 10**9
 
 
 class TestConfigurations:

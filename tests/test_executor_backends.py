@@ -621,6 +621,12 @@ class TestDefaultWorkerCount:
         monkeypatch.setattr(os, "cpu_count", lambda: 6)
         assert default_worker_count() == 6
 
+    def test_engine_max_workers_resolves_the_default(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        graph = DiGraph(2, [(0, 1)])
+        assert SPGEngine(graph, executor_backend="serial").max_workers == 3
+        assert SPGEngine(graph, executor_backend="serial", max_workers=5).max_workers == 5
+
     def test_caps_and_floors(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(128)), raising=False)
         assert default_worker_count() == 32

@@ -161,13 +161,25 @@ class TestAdmissionController:
 # Coalescer (against a fake engine: batching behaviour only)
 # ----------------------------------------------------------------------
 class _FakeEngine:
-    def __init__(self, fail=False):
+    """Answers every query at once; ``gates`` hold chosen batches in flight.
+
+    ``gates`` maps a batch index (call order) to an :class:`asyncio.Event`
+    that batch waits on; ``fail`` is ``True`` (every batch raises) or a
+    set of batch indices that raise.
+    """
+
+    def __init__(self, fail=False, max_workers=2, gates=None):
         self.batches = []
         self.fail = fail
+        self.max_workers = max_workers
+        self.gates = gates or {}
 
     async def run_batch_async(self, queries):
+        index = len(self.batches)
         self.batches.append(list(queries))
-        if self.fail:
+        if index in self.gates:
+            await self.gates[index].wait()
+        if self.fail is True or (self.fail and index in self.fail):
             raise RuntimeError("engine exploded")
         outcomes = [
             QueryOutcome(source=s, target=t, k=k, latency_seconds=0.0)
@@ -176,11 +188,36 @@ class _FakeEngine:
         return type("Report", (), {"outcomes": outcomes})()
 
 
+async def _ticks(n=3):
+    """Let the event loop run ``n`` rounds of ready callbacks (no timers)."""
+    for _ in range(n):
+        await asyncio.sleep(0)
+
+
+def _submit_all(coalescer, sources):
+    return [
+        asyncio.ensure_future(coalescer.submit((i, i + 1, 3))) for i in sources
+    ]
+
+
 class TestQueryCoalescer:
-    def test_same_window_arrivals_share_one_batch(self):
+    def test_idle_submit_reaches_engine_without_waiting(self):
         async def scenario():
             engine = _FakeEngine()
-            coalescer = QueryCoalescer(engine, window_seconds=0.05, max_batch=64)
+            coalescer = QueryCoalescer(engine)
+            pending = asyncio.ensure_future(coalescer.submit((0, 1, 3)))
+            await _ticks()
+            # A few loop ticks, no timer: the query is already in a batch.
+            assert engine.batches == [[(0, 1, 3)]]
+            assert (await pending).source == 0
+            await coalescer.aclose()
+
+        asyncio.run(scenario())
+
+    def test_same_tick_arrivals_share_one_batch(self):
+        async def scenario():
+            engine = _FakeEngine()
+            coalescer = QueryCoalescer(engine, max_batch=64)
             outcomes = await asyncio.gather(
                 *(coalescer.submit((i, i + 1, 3)) for i in range(5))
             )
@@ -192,26 +229,85 @@ class TestQueryCoalescer:
 
         asyncio.run(scenario())
 
-    def test_max_batch_flushes_immediately(self):
+    def test_busy_slots_fold_queued_queries_into_one_batch(self):
         async def scenario():
-            engine = _FakeEngine()
-            coalescer = QueryCoalescer(engine, window_seconds=10.0, max_batch=2)
-            outcomes = await asyncio.gather(
-                *(coalescer.submit((i, i + 1, 3)) for i in range(4))
-            )
-            assert len(outcomes) == 4
-            # A 10s window can only have been beaten by the max-batch flush.
-            assert coalescer.batches_flushed == 2
-            assert all(len(batch) == 2 for batch in engine.batches)
+            gates = {0: asyncio.Event(), 1: asyncio.Event()}
+            engine = _FakeEngine(max_workers=2, gates=gates)
+            coalescer = QueryCoalescer(engine)
+            held = _submit_all(coalescer, [0])
+            await _ticks()
+            held += _submit_all(coalescer, [1])
+            await _ticks()
+            assert len(engine.batches) == 2  # both slots held
+            queued = _submit_all(coalescer, range(2, 8))
+            await _ticks()
+            assert coalescer.pending == 6 and len(engine.batches) == 2
+            gates[0].set()
+            outcomes = await asyncio.gather(*queued)
+            assert [outcome.source for outcome in outcomes] == list(range(2, 8))
+            assert engine.batches[2] == [(i, i + 1, 3) for i in range(2, 8)]
+            assert len(engine.batches) == 3
+            gates[1].set()
+            await asyncio.gather(*held)
+            assert coalescer.batches_flushed == 3
+            await coalescer.aclose()
+
+        asyncio.run(scenario())
+
+    def test_max_batch_splits_a_long_queue(self):
+        async def scenario():
+            gate = asyncio.Event()
+            engine = _FakeEngine(max_workers=1, gates={0: gate})
+            coalescer = QueryCoalescer(engine, max_batch=2)
+            held = _submit_all(coalescer, [0])
+            await _ticks()
+            queued = _submit_all(coalescer, range(1, 6))
+            await _ticks()
+            gate.set()
+            await asyncio.gather(*held, *queued)
+            assert [len(batch) for batch in engine.batches] == [1, 2, 2, 1]
+            assert coalescer.queries_coalesced == 6
+            await coalescer.aclose()
+
+        asyncio.run(scenario())
+
+    def test_failed_batch_frees_its_slot_for_queued_queries(self):
+        async def scenario():
+            gate = asyncio.Event()
+            engine = _FakeEngine(fail={0}, max_workers=1, gates={0: gate})
+            coalescer = QueryCoalescer(engine)
+            held = _submit_all(coalescer, [0])
+            await _ticks()
+            queued = _submit_all(coalescer, range(1, 4))
+            await _ticks()
+            gate.set()
+            with pytest.raises(RuntimeError):
+                await held[0]
+            outcomes = await asyncio.gather(*queued)
+            assert [outcome.source for outcome in outcomes] == [1, 2, 3]
+            assert engine.batches[1] == [(i, i + 1, 3) for i in range(1, 4)]
+            await coalescer.aclose()
+
+        asyncio.run(scenario())
+
+    def test_slow_batch_does_not_delay_query_with_free_slot(self):
+        async def scenario():
+            gate = asyncio.Event()
+            engine = _FakeEngine(max_workers=2, gates={0: gate})
+            coalescer = QueryCoalescer(engine)
+            held = _submit_all(coalescer, [0])
+            await _ticks()
+            fast = await asyncio.wait_for(coalescer.submit((5, 6, 3)), 1.0)
+            assert fast.source == 5 and not held[0].done()
+            gate.set()
+            assert (await held[0]).source == 0
             await coalescer.aclose()
 
         asyncio.run(scenario())
 
     def test_engine_failure_fans_out_to_every_future(self):
         async def scenario():
-            coalescer = QueryCoalescer(
-                _FakeEngine(fail=True), window_seconds=0.01, max_batch=64
-            )
+            coalescer = QueryCoalescer(_FakeEngine(fail=True), max_batch=64)
             results = await asyncio.gather(
                 *(coalescer.submit((i, i + 1, 3)) for i in range(3)),
                 return_exceptions=True,
@@ -221,12 +317,29 @@ class TestQueryCoalescer:
 
         asyncio.run(scenario())
 
+    def test_close_answers_queued_queries(self):
+        async def scenario():
+            gate = asyncio.Event()
+            engine = _FakeEngine(max_workers=1, gates={0: gate})
+            coalescer = QueryCoalescer(engine)
+            submitted = _submit_all(coalescer, range(3))
+            await _ticks()
+            closing = asyncio.ensure_future(coalescer.aclose())
+            await _ticks()
+            assert not closing.done()
+            gate.set()
+            await closing
+            assert all(future.done() for future in submitted)
+            assert coalescer.queries_coalesced == 3
+
+        asyncio.run(scenario())
+
     def test_submit_after_close_raises(self):
         async def scenario():
-            coalescer = QueryCoalescer(_FakeEngine(), window_seconds=0.01)
+            coalescer = QueryCoalescer(_FakeEngine())
             await coalescer.aclose()
             with pytest.raises(RuntimeError):
-                await coalescer.submit((0, 1, 2))
+                await coalescer.submit((0, 1, 3))
 
         asyncio.run(scenario())
 
@@ -443,29 +556,43 @@ class TestHTTPFrontend:
 
     def test_concurrent_queries_coalesce_into_one_batch(self, small_dense_graph):
         async def scenario():
-            with _engine(small_dense_graph) as engine:
-                frontend = await _booted(
-                    engine, coalesce_window=0.1, coalesce_max_batch=64
-                )
+            with _engine(small_dense_graph, max_workers=1) as engine:
+                # Hold the engine's only worker slot with a gated batch, so
+                # the concurrent requests below all queue in the coalescer.
+                entered, release = asyncio.Event(), asyncio.Event()
+                run_batch_async = engine.run_batch_async
+                sizes = []
+
+                async def gated(queries, **kwargs):
+                    sizes.append(len(queries))
+                    if len(sizes) == 1:
+                        entered.set()
+                        await release.wait()
+                    return await run_batch_async(queries, **kwargs)
+
+                engine.run_batch_async = gated
+                frontend = await _booted(engine, coalesce_max_batch=64)
+
+                def post(s, t, k):
+                    body = json.dumps({"source": s, "target": t, "k": k}).encode()
+                    return request(frontend.address, None, "POST", "/query", body=body)
+
                 try:
+                    blocker = asyncio.ensure_future(post(2, 9, 4))
+                    await asyncio.wait_for(entered.wait(), 5.0)
                     queries = [(0, 7, 4), (3, 9, 4), (1, 7, 4), (5, 9, 4)]
-                    responses = await asyncio.gather(
-                        *(
-                            request(
-                                frontend.address,
-                                None,
-                                "POST",
-                                "/query",
-                                body=json.dumps(
-                                    {"source": s, "target": t, "k": k}
-                                ).encode(),
-                            )
-                            for s, t, k in queries
-                        )
-                    )
+                    responses = [asyncio.ensure_future(post(*q)) for q in queries]
+                    for _ in range(5000):  # bounded: at most ~5 s
+                        if frontend.coalescer.pending == len(queries):
+                            break
+                        await asyncio.sleep(0.001)
+                    assert frontend.coalescer.pending == len(queries)
+                    release.set()
+                    responses = await asyncio.gather(blocker, *responses)
                     assert all(r.status == 200 for r in responses)
-                    assert frontend.coalescer.batches_flushed == 1
-                    assert frontend.coalescer.queries_coalesced == len(queries)
+                    assert sizes == [1, len(queries)]
+                    assert frontend.coalescer.batches_flushed == 2
+                    assert frontend.coalescer.queries_coalesced == len(queries) + 1
                 finally:
                     assert await frontend.shutdown(5.0)
 
@@ -585,7 +712,6 @@ class TestHTTPConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"coalesce_window": -0.1},
             {"coalesce_max_batch": 0},
             {"max_queue_depth": 0},
             {"tenant_rate": 0.0},
@@ -814,6 +940,26 @@ class TestMutateEndpoint:
                     )
                     assert response.status == 503
                     assert engine.graph_epoch == 0
+                finally:
+                    assert await frontend.shutdown(5.0)
+
+        asyncio.run(scenario())
+
+    def test_metrics_expose_coalescer_counters(self, small_dense_graph):
+        async def scenario():
+            with _engine(small_dense_graph) as engine:
+                frontend = await _booted(engine)
+                try:
+                    for source in (0, 1):
+                        body = json.dumps({"source": source, "target": 7, "k": 4}).encode()
+                        response = await request(frontend.address, None, "POST", "/query", body=body)
+                        assert response.status == 200
+                    metrics = await request(frontend.address, path="/metrics")
+                    samples = {
+                        s.name: s.value for s in parse_exposition(metrics.text)
+                    }
+                    assert samples["repro_http_coalescer_batches_total"] == 2.0
+                    assert samples["repro_http_coalescer_queries_total"] == 2.0
                 finally:
                     assert await frontend.shutdown(5.0)
 
